@@ -18,6 +18,7 @@ evolving application completes.
 """
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Dict, FrozenSet, List, Optional, Set
@@ -199,10 +200,11 @@ class ParameterSweepApplication(BaseApplication):
         victims: List[NodeId] = sorted(self._idle_nodes)[:count]
         remaining = count - len(victims)
         if remaining > 0:
-            by_elapsed = sorted(
-                self._running_tasks.items(), key=lambda item: self.now - item[1]
+            now = self.now
+            by_elapsed = heapq.nsmallest(
+                remaining, self._running_tasks.items(), key=lambda item: now - item[1]
             )
-            victims.extend(nid for nid, _ in by_elapsed[:remaining])
+            victims.extend(nid for nid, _ in by_elapsed)
         return victims
 
     # ------------------------------------------------------------------ #

@@ -7,7 +7,8 @@ inherit the nodes of their predecessor.
 """
 from __future__ import annotations
 
-from typing import Dict, FrozenSet, Iterable, List, Optional
+import heapq
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set
 
 from ..core.errors import AllocationError
 from ..core.types import ClusterId, NodeId, Time
@@ -17,7 +18,13 @@ __all__ = ["Cluster"]
 
 
 class Cluster:
-    """A named collection of identical nodes."""
+    """A named collection of identical nodes.
+
+    The cluster is the only writer of node state, which lets it keep the
+    IDs of its free nodes in a set updated by every allocation, release,
+    removal and addition: counting free nodes costs O(1) and an
+    allocation never scans the busy ones.
+    """
 
     def __init__(self, cluster_id: ClusterId, node_count: int):
         if node_count <= 0:
@@ -26,6 +33,7 @@ class Cluster:
         self.nodes: Dict[NodeId, Node] = {
             i: Node(node_id=i, cluster_id=cluster_id) for i in range(node_count)
         }
+        self._free: Set[NodeId] = set(self.nodes)
         #: Busy node-seconds accumulated by nodes removed since (crash or
         #: elastic shrink); keeps utilization accounting exact across faults.
         self.retired_busy_seconds: float = 0.0
@@ -38,13 +46,13 @@ class Cluster:
 
     def free_nodes(self) -> List[NodeId]:
         """IDs of nodes currently free (lowest IDs first, deterministic)."""
-        return sorted(nid for nid, node in self.nodes.items() if node.is_free())
+        return sorted(self._free)
 
     def free_count(self) -> int:
-        return len(self.free_nodes())
+        return len(self._free)
 
     def allocated_count(self) -> int:
-        return sum(1 for n in self.nodes.values() if n.state is NodeState.ALLOCATED)
+        return len(self.nodes) - len(self._free)
 
     def allocated_to(self, app_id: str) -> List[NodeId]:
         """IDs of nodes currently held by *app_id*."""
@@ -66,30 +74,33 @@ class Cluster:
         """Allocate *count* nodes and return their IDs.
 
         Nodes listed in *preferred* (e.g. nodes carried over from a ``NEXT``
-        predecessor) are used first if they are free; the remainder is taken
-        from the lowest free IDs.  Raises :class:`AllocationError` if fewer
-        than *count* nodes are free.
+        predecessor) are used first if they are free, each once; the
+        remainder is taken from the lowest free IDs.  Raises
+        :class:`AllocationError`, allocating nothing, if fewer than *count*
+        nodes are free.
         """
         if count < 0:
             raise AllocationError("cannot allocate a negative node count")
-        chosen: List[NodeId] = []
-        if preferred:
-            for nid in preferred:
-                node = self.nodes.get(nid)
-                if node is not None and node.is_free() and len(chosen) < count:
-                    chosen.append(nid)
-        for nid in self.free_nodes():
-            if len(chosen) >= count:
-                break
-            if nid not in chosen:
-                chosen.append(nid)
-        if len(chosen) < count:
+        if count > len(self._free):
             raise AllocationError(
                 f"cluster {self.cluster_id!r}: requested {count} nodes, "
                 f"only {self.free_count()} free"
             )
+        chosen: List[NodeId] = []
+        taken: Set[NodeId] = set()
+        if preferred:
+            for nid in preferred:
+                if len(chosen) >= count:
+                    break
+                if nid in self._free and nid not in taken:
+                    chosen.append(nid)
+                    taken.add(nid)
+        if len(chosen) < count:
+            pool = (nid for nid in self._free if nid not in taken) if taken else self._free
+            chosen += heapq.nsmallest(count - len(chosen), pool)
         for nid in chosen:
             self.nodes[nid].allocate(app_id, request_id, now)
+        self._free.difference_update(chosen)
         return frozenset(chosen)
 
     def release(self, node_ids: Iterable[NodeId], now: Time) -> None:
@@ -99,6 +110,7 @@ class Cluster:
             if node is None:
                 raise AllocationError(f"unknown node id {nid} on {self.cluster_id!r}")
             node.release(now)
+            self._free.add(nid)
 
     def release_all_of(self, app_id: str, now: Time) -> FrozenSet[NodeId]:
         """Release every node held by *app_id* (used when killing a session)."""
@@ -155,6 +167,7 @@ class Cluster:
             node._accumulate(now)
             self.retired_busy_seconds += node.busy_seconds
             del self.nodes[nid]
+            self._free.discard(nid)
 
     def add_nodes(self, count: int, now: Time) -> List[NodeId]:
         """Add *count* fresh nodes (node restart or elastic grow).
@@ -172,6 +185,7 @@ class Cluster:
                 node = Node(node_id=nid, cluster_id=self.cluster_id)
                 node.last_transition = now
                 self.nodes[nid] = node
+                self._free.add(nid)
                 added.append(nid)
             nid += 1
         return added

@@ -1,9 +1,9 @@
 """Compute nodes of the simulated platform.
 
-The paper assumes space-shared, homogeneous clusters: a node is either free,
-allocated exclusively to one request, or powered down to save energy
-(Section 5.3 mentions that resources released early "can be put in an energy
-saving mode").
+The paper assumes space-shared, homogeneous clusters: a node is either free
+or allocated exclusively to one request.  Nodes change state only through
+their :class:`~repro.cluster.cluster.Cluster`, which keeps its free pool in
+step with them.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ class NodeState(enum.Enum):
 
     FREE = "free"
     ALLOCATED = "allocated"
-    POWERED_DOWN = "powered-down"
 
 
 @dataclass
@@ -65,25 +64,6 @@ class Node:
         self.owner_app = None
         self.owner_request = None
         self.last_transition = now
-
-    def power_down(self, now: Time) -> None:
-        """Put a free node into the energy-saving state."""
-        if self.state is NodeState.ALLOCATED:
-            raise AllocationError("cannot power down an allocated node")
-        self._accumulate(now)
-        self.state = NodeState.POWERED_DOWN
-        self.last_transition = now
-
-    def power_up(self, now: Time) -> None:
-        """Wake a powered-down node."""
-        if self.state is not NodeState.POWERED_DOWN:
-            return
-        self._accumulate(now)
-        self.state = NodeState.FREE
-        self.last_transition = now
-
-    def is_free(self) -> bool:
-        return self.state is NodeState.FREE
 
     def _accumulate(self, now: Time) -> None:
         if self.state is NodeState.ALLOCATED and now > self.last_transition:

@@ -7,13 +7,12 @@ unconstrained requests (or requests whose parent lives outside the set) are
 tree roots, and each constraint creates a parent/child edge.
 
 :class:`RequestSet` stores one such set and provides the paper's ``roots``
-and ``children`` helpers plus ordering and filtering utilities used by the
-scheduler.  :class:`ApplicationRequests` groups the three sets of one
-application.
+helper plus the filtering and pruning utilities used by the RMS.
+:class:`ApplicationRequests` groups the three sets of one application.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional
+from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from .errors import ConstraintError, RequestError
 from .request import Request
@@ -96,26 +95,6 @@ class RequestSet:
                 out.append(r)
         return out
 
-    def children(self, request: Request) -> List[Request]:
-        """Requests of this set directly constrained to *request*."""
-        return [
-            r
-            for r in self._requests
-            if r.related_to is not None
-            and r.related_to.request_id == request.request_id
-            and r.related_how is not RelatedHow.FREE
-        ]
-
-    def descendants(self, request: Request) -> List[Request]:
-        """All requests transitively constrained to *request* (pre-order)."""
-        out: List[Request] = []
-        stack = self.children(request)
-        while stack:
-            r = stack.pop(0)
-            out.append(r)
-            stack = self.children(r) + stack
-        return out
-
     def validate_constraints(self) -> None:
         """Raise :class:`ConstraintError` if the constraint graph has a cycle."""
         for start in self._requests:
@@ -147,18 +126,45 @@ class RequestSet:
     def prune_finished(self) -> List[Request]:
         """Drop finished requests whose descendants are also all finished.
 
-        Returns the removed requests.  Finished requests that still have
-        unfinished children are kept because ``NEXT`` children need the
-        parent's schedule to compute their own start time.
+        Returns the removed requests, in set order.  Finished requests that
+        still have unfinished children are kept because ``NEXT`` children
+        need the parent's schedule to compute their own start time; so are
+        finished requests an unfinished request points at through any
+        constraint, ``FREE`` included.
+
+        One pass costs O(n) for a set of n requests.  Each unfinished
+        request marks its ancestors in the set as blocked, walking up its
+        ``related_to`` chain and stopping at the first ancestor already
+        blocked, so every request is marked at most once.  The walk is a
+        loop, not a recursion: ``NEXT`` chains are as deep as an
+        application's update count (1000 in the paper's Figure 9 runs).
         """
-        removed = []
-        for r in list(self._requests):
-            if r.finished() and all(c.finished() for c in self.descendants(r)):
-                # Only safe to drop if nothing unfinished points at it.
-                dependants = [c for c in self._requests if c.related_to is r and not c.finished()]
-                if not dependants:
-                    self.remove(r)
-                    removed.append(r)
+        by_id = self._by_id
+        blocked: Set[int] = set()  # ids with an unfinished descendant
+        pointed_at: Set[int] = set()  # ids an unfinished request is related to
+        finished: List[Request] = []
+        for r in self._requests:
+            if r.finished():
+                finished.append(r)
+                continue
+            if r.related_to is not None:
+                pointed_at.add(r.related_to.request_id)
+            child = r
+            while child.related_how is not RelatedHow.FREE and child.related_to is not None:
+                parent = by_id.get(child.related_to.request_id)
+                if parent is None or parent.request_id in blocked:
+                    break
+                blocked.add(parent.request_id)
+                child = parent
+        removed = [
+            r
+            for r in finished
+            if r.request_id not in blocked and r.request_id not in pointed_at
+        ]
+        if removed:
+            for r in removed:
+                del by_id[r.request_id]
+            self._requests[:] = [r for r in self._requests if r.request_id in by_id]
         return removed
 
     def total_requested_nodes(self) -> int:

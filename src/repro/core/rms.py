@@ -737,10 +737,7 @@ class CooRMv2:
         if count <= 0:
             return 0
         cluster = self.platform.cluster(self.platform.default_cluster_id())
-        free = [
-            nid for nid in sorted(cluster.nodes, reverse=True)
-            if cluster.nodes[nid].state is not NodeState.ALLOCATED
-        ][:count]
+        free = cluster.free_nodes()[::-1][:count]
         if not free:
             return 0
         cluster.remove_nodes(free, self.now)

@@ -21,7 +21,7 @@ class TestNode:
         assert node.state is NodeState.ALLOCATED
         assert node.owner_app == "app"
         node.release(now=25.0)
-        assert node.is_free()
+        assert node.state is NodeState.FREE
         assert node.busy_seconds == pytest.approx(15.0)
 
     def test_double_allocation_rejected(self):
@@ -33,19 +33,6 @@ class TestNode:
     def test_release_free_node_rejected(self):
         with pytest.raises(AllocationError):
             Node(0, "c").release(now=0.0)
-
-    def test_power_cycle(self):
-        node = Node(0, "c")
-        node.power_down(now=0.0)
-        assert node.state is NodeState.POWERED_DOWN
-        node.power_up(now=5.0)
-        assert node.is_free()
-
-    def test_cannot_power_down_allocated_node(self):
-        node = Node(0, "c")
-        node.allocate("app", 1, now=0.0)
-        with pytest.raises(AllocationError):
-            node.power_down(now=1.0)
 
 
 class TestCluster:
