@@ -259,10 +259,14 @@ def partition_schedule(
         per_app_values: Dict[str, List[float]] = {a: [] for a in app_ids}
         floor = math.floor
         ceil = math.ceil
+        # A zero occupation demands 0 at every breakpoint: skip its lookups.
+        occupied = [(i, p) for i, p in enumerate(occ_profiles) if not p.is_zero()]
         for t in breakpoints:
             capacity = int(floor(avail_profile.value_at(t) + 1e-9))
             capacity = max(capacity, 0)
-            demands = [int(ceil(p.value_at(t) - 1e-9)) for p in occ_profiles]
+            demands = [0] * len(occ_profiles)
+            for i, p in occupied:
+                demands[i] = int(ceil(p.value_at(t) - 1e-9))
             values = partition(demands, capacity)
             for a, v in zip(app_ids, values):
                 per_app_values[a].append(float(v))

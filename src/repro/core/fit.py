@@ -59,6 +59,8 @@ def fit(requests, available: View, not_before: Time) -> View:
         The occupation view generated by the non-fixed requests.
     """
     request_list: List[Request] = [r for r in requests if not r.finished()]
+    if not request_list:
+        return View()
     ids = {r.request_id for r in request_list}
 
     # Constraint edges, indexed once: the fit loop asks for the children of a

@@ -32,16 +32,29 @@ Complexity contract (the simulation hot path leans on it):
 * :class:`StepBuilder` accumulates many rectangles and materialises the sum
   in one O(k log k) sweep instead of k full merges;
 * the private in-place rectangle ops let owners such as the CBF queue update
-  an availability profile without reallocating it.
+  an availability profile without reallocating it;
+* operations that cannot change their operand return it unchanged in O(n)
+  without merging or allocating: ``a - Z`` returns ``a`` when ``Z`` is the
+  one-segment ``+0.0`` profile, ``a + Z`` and ``Z + a`` return ``a`` when
+  ``a`` holds no ``-0.0`` value (``-0.0 + 0.0`` is ``+0.0``), and
+  ``clip_low(f)`` returns the profile itself when no value is below ``f``.
+  :class:`~repro.core.view.View` follows the same rules per cluster and for
+  empty views.  Handing out the operand is safe because profiles and views
+  are immutable by convention: the only in-place owners (the CBF and EASY
+  queues) build their own profiles and hand out copies, never the operand
+  of an arithmetic result.
 
 Exactness note: every transformation here computes segment values with the
 same floating-point operations (and, for builders, integer-valued heights) as
 the equivalent chain of immutable operations, so replacing one with the other
-never changes results -- the golden regression suite pins this.
+never changes results -- the golden regression suite pins this.  The
+identity results above are bit-identical to the merges they skip, signed
+zeros included.
 """
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left, bisect_right
 from typing import Iterable, Iterator, List, Sequence, Tuple
 
@@ -53,28 +66,12 @@ __all__ = ["StepFunction", "StepBuilder"]
 _EPS = 1e-9
 
 
-def _merge_breakpoints(a: "StepFunction", b: "StepFunction") -> List[Time]:
-    """Return the sorted union of the breakpoints of two profiles."""
-    times: List[Time] = []
-    ia = ib = 0
-    ta, tb = a._times, b._times
-    while ia < len(ta) or ib < len(tb):
-        if ib >= len(tb) or (ia < len(ta) and ta[ia] <= tb[ib]):
-            t = ta[ia]
-            ia += 1
-        else:
-            t = tb[ib]
-            ib += 1
-        if not times or t > times[-1]:
-            times.append(t)
-    return times
-
-
 class StepFunction:
     """A right-continuous piecewise-constant function of time.
 
     Values are numeric (node counts in almost all uses).  Instances should be
-    treated as immutable: all arithmetic returns new objects.  The private
+    treated as immutable: arithmetic never mutates an operand, and returns
+    an operand itself when the result would equal it bit for bit.  The private
     ``*_in_place`` helpers are the one sanctioned exception, reserved for
     owners that never share the instance (e.g. the CBF queue's availability).
 
@@ -333,10 +330,19 @@ class StepFunction:
         return StepFunction._from_compacted(times, values)
 
     def __add__(self, other: "StepFunction") -> "StepFunction":
-        return self._combine(other, lambda a, b: a + b)
+        # x + 0.0 is x for every x except -0.0, so a zero operand is an
+        # identity unless the other side holds a negative zero.
+        if _is_pos_zero(other._values) and not _has_neg_zero(self._values):
+            return self
+        if _is_pos_zero(self._values) and not _has_neg_zero(other._values):
+            return other
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "StepFunction") -> "StepFunction":
-        return self._combine(other, lambda a, b: a - b)
+        # x - 0.0 is x bit for bit, -0.0 included.
+        if _is_pos_zero(other._values):
+            return self
+        return self._combine(other, operator.sub)
 
     def maximum(self, other: "StepFunction") -> "StepFunction":
         """Pointwise maximum (the paper's view union)."""
@@ -355,8 +361,27 @@ class StepFunction:
         return StepFunction(list(self._times), [v + delta for v in self._values])
 
     def clip_low(self, floor: float = 0.0) -> "StepFunction":
-        """Clamp every value to be at least *floor*."""
-        return StepFunction(list(self._times), [max(v, floor) for v in self._values])
+        """Clamp every value to be at least *floor*.
+
+        Returns the profile itself when no value is below *floor*
+        (``max(v, floor)`` is then ``v``).
+        """
+        floor = float(floor)
+        values = self._values
+        if min(values) >= floor:
+            return self
+        times: List[Time] = []
+        clipped: List[float] = []
+        last_v = None
+        for t, v in zip(self._times, values):
+            v = max(v, floor)
+            # Inline compaction, identical to _compact.
+            if last_v is not None and abs(v - last_v) < _EPS:
+                continue
+            times.append(t)
+            clipped.append(v)
+            last_v = v
+        return StepFunction._from_compacted(times, clipped)
 
     def clip_high(self, ceiling: float) -> "StepFunction":
         """Clamp every value to be at most *ceiling*."""
@@ -485,9 +510,6 @@ class StepFunction:
                 return t
             i += 1
 
-    def _segment_index(self, t: Time) -> int:
-        return max(bisect_right(self._times, t) - 1, 0)
-
     def alloc_limit(self, start: Time, duration: Time, requested: float) -> float:
         """How many nodes can be granted on ``[start, start+duration)``.
 
@@ -590,6 +612,18 @@ class StepBuilder:
             # Only deltas at t=0 (infinite rectangles starting at 0).
             values.append(level)
         return StepFunction._from_compacted(times, values)
+
+
+def _is_pos_zero(values: List[float]) -> bool:
+    """True for the values of the one-segment ``+0.0`` profile."""
+    return len(values) == 1 and values[0] == 0.0 and math.copysign(1.0, values[0]) > 0.0
+
+
+def _has_neg_zero(values: List[float]) -> bool:
+    """True if any value is ``-0.0`` (the C-level ``in`` scan rules most out)."""
+    if 0.0 not in values:
+        return False
+    return any(v == 0.0 and math.copysign(1.0, v) < 0.0 for v in values)
 
 
 #: Shared zero profile: safe because profiles are immutable by convention.

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Iterable, Optional
+from typing import Optional
 
 from .request import Request
 from .types import RelatedHow
@@ -43,11 +43,16 @@ def to_view(requests, available: Optional[View] = None) -> View:
     Algorithm 1 prescribes.
     """
     request_list = list(requests)
-    occupied = ViewBuilder()
 
     # Reset the fixed flag on every request of the set.
     for r in request_list:
         r.fixed = False
+
+    # Only started, unfinished requests seed the walk: without one, nothing
+    # is fixed and the occupation is empty.
+    queue = deque(r for r in request_list if r.started() and not r.finished())
+    if not queue:
+        return View()
 
     # Constraint edges indexed once, so the propagation loop is linear in the
     # number of requests instead of quadratic.
@@ -59,7 +64,7 @@ def to_view(requests, available: Optional[View] = None) -> View:
     def children_of(parent: Request):
         return children_map.get(id(parent), ())
 
-    queue = deque(r for r in request_list if r.started() and not r.finished())
+    occupied = ViewBuilder()
     seen = set()
 
     while queue:
@@ -107,7 +112,3 @@ def to_view(requests, available: Optional[View] = None) -> View:
 
     return occupied.build()
 
-
-def fixed_requests(requests: Iterable[Request]) -> list:
-    """Convenience helper: the requests currently flagged as fixed."""
-    return [r for r in requests if r.fixed]

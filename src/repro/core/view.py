@@ -14,10 +14,11 @@ max), sum, difference, ``alloc`` and ``findHole``.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from .errors import ViewError
-from .profile import StepBuilder, StepFunction
+from .profile import StepBuilder, StepFunction, _has_neg_zero
 from .types import ClusterId, Time
 
 __all__ = ["View", "ViewBuilder"]
@@ -33,7 +34,8 @@ class View:
 
     Missing clusters evaluate as the zero profile, so views over different
     cluster sets combine naturally.  Like :class:`StepFunction`, views are
-    treated as immutable; all operators return new instances.
+    treated as immutable: operators never mutate an operand, and return an
+    operand itself when the result would equal it bit for bit.
     """
 
     __slots__ = ("_caps",)
@@ -45,6 +47,17 @@ class View:
                 if not isinstance(cap, StepFunction):
                     raise ViewError(f"cluster {cid!r}: expected a StepFunction")
                 self._caps[cid] = cap
+
+    @classmethod
+    def _adopt(cls, caps: Dict[ClusterId, StepFunction]) -> "View":
+        """Internal fast constructor: *caps* is adopted as-is.
+
+        The caller guarantees every value is a :class:`StepFunction` and
+        that nobody else holds the dict.
+        """
+        self = object.__new__(cls)
+        self._caps = caps
+        return self
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -101,7 +114,7 @@ class View:
         caps: Dict[ClusterId, StepFunction] = {}
         for cid in set(self._caps) | set(other._caps):
             caps[cid] = op(self[cid], other[cid])
-        return View(caps)
+        return View._adopt(caps)
 
     def union(self, other: "View") -> "View":
         """Pointwise maximum per cluster (the paper's ``∪``)."""
@@ -111,14 +124,33 @@ class View:
         return self.union(other)
 
     def __add__(self, other: "View") -> "View":
-        return self._combine(other, lambda a, b: a + b)
+        # An empty side is the zero profile on every cluster: an identity
+        # unless the other side holds a -0.0 (see StepFunction.__add__).
+        if not other._caps and not self._has_neg_zero():
+            return self
+        if not self._caps and not other._has_neg_zero():
+            return other
+        return self._combine(other, operator.add)
 
     def __sub__(self, other: "View") -> "View":
-        return self._combine(other, lambda a, b: a - b)
+        if not other._caps:
+            return self
+        return self._combine(other, operator.sub)
+
+    def _has_neg_zero(self) -> bool:
+        return any(_has_neg_zero(cap._values) for cap in self._caps.values())
 
     def clip_low(self, floor: float = 0.0) -> "View":
-        """Clamp every profile to be at least *floor* (usually 0)."""
-        return View({cid: cap.clip_low(floor) for cid, cap in self._caps.items()})
+        """Clamp every profile to be at least *floor* (usually 0).
+
+        Returns the view itself when no cluster profile changed.
+        """
+        caps: Dict[ClusterId, StepFunction] = {}
+        changed = False
+        for cid, cap in self._caps.items():
+            clipped = caps[cid] = cap.clip_low(floor)
+            changed = changed or clipped is not cap
+        return View._adopt(caps) if changed else self
 
     def clip_high(self, ceilings: Mapping[ClusterId, float]) -> "View":
         """Clamp each cluster's profile at its ceiling (e.g. the cluster size)."""
@@ -218,9 +250,13 @@ class ViewBuilder:
             builder = self._builders[cid] = StepBuilder()
         builder.add_rectangle(start, duration, height)
 
+    def is_empty(self) -> bool:
+        """True when no rectangle has been added."""
+        return all(builder.is_empty() for builder in self._builders.values())
+
     def build(self) -> View:
         """The accumulated occupation as an immutable :class:`View`."""
-        return View(
+        return View._adopt(
             {
                 cid: builder.build()
                 for cid, builder in self._builders.items()

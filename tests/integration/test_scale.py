@@ -1,19 +1,21 @@
-"""Scale tests: request-set pruning far past the paper's sizes, and one
-reduced-scale Figure 9 sweep.
+"""Scale tests: request-set pruning, ``to_view`` and ``fit`` far past the
+paper's sizes, and one reduced-scale Figure 9 sweep.
 
-``RequestSet.prune_finished`` runs on every scheduling pass, so its cost
-per pass must stay linear in the set size and must not recurse along
-``NEXT`` chains (1000 steps deep in the paper's Figure 9 runs).  Timings
-compare one size with its double on the same host, best of a few repeats
-with the garbage collector paused, so they measure growth, not the machine.
+``RequestSet.prune_finished``, ``to_view`` and ``fit`` run on every
+scheduling pass, so their cost per pass must stay linear in the set size
+and must not recurse along ``NEXT`` chains (1000 steps deep in the paper's
+Figure 9 runs).  Timings compare one size with its double on the same host,
+best of a few repeats with the garbage collector paused, so they measure
+growth, not the machine.
 """
 from __future__ import annotations
 
 import gc
+import math
 import time
 from typing import Callable, List
 
-from repro.core import RelatedHow, Request, RequestSet, RequestType
+from repro.core import RelatedHow, Request, RequestSet, RequestType, View, fit, to_view
 from repro.experiments import fig9_spontaneous
 from repro.experiments.runner import EvaluationScale
 
@@ -25,11 +27,17 @@ def _request(how: RelatedHow = RelatedHow.FREE, to: Request = None) -> Request:
     return Request("c", 1, 10, RequestType.NON_PREEMPTIBLE, how, to)
 
 
-def next_chain(steps: int) -> List[Request]:
-    """A chain of *steps* ``NEXT`` updates, every one finished but the last."""
+def pending_chain(steps: int) -> List[Request]:
+    """A chain of *steps* pending ``NEXT`` updates."""
     chain = [_request()]
     for _ in range(steps - 1):
         chain.append(_request(RelatedHow.NEXT, chain[-1]))
+    return chain
+
+
+def next_chain(steps: int) -> List[Request]:
+    """A chain of *steps* ``NEXT`` updates, every one finished but the last."""
+    chain = pending_chain(steps)
     for r in chain[:-1]:
         r.mark_finished(1.0)
     return chain
@@ -65,10 +73,40 @@ def wide_set(groups: int) -> RequestSet:
     return rs
 
 
+def scheduled_set(groups: int) -> RequestSet:
+    """*groups* trees of 10 requests each: 7 fixed, 3 left to ``fit``.
+
+    Per tree: a started root with a 4-deep ``NEXT`` chain and two
+    ``COALLOC`` children (all fixed by ``to_view``), plus three pending
+    ``FREE`` requests.
+    """
+    rs = RequestSet(RequestType.NON_PREEMPTIBLE)
+    for g in range(groups):
+        root = _request()
+        root.mark_started(float(g))
+        chain = [root]
+        for _ in range(4):
+            chain.append(_request(RelatedHow.NEXT, chain[-1]))
+        tree = chain + [_request(RelatedHow.COALLOC, root) for _ in range(2)]
+        tree += [_request() for _ in range(3)]
+        for r in tree:
+            rs.add(r)
+    return rs
+
+
+def _schedule(rs: RequestSet, available: View) -> View:
+    """One scheduling round of a set: ``to_view`` then ``fit`` the rest."""
+    fixed = to_view(rs)
+    return fixed + fit(rs, available - fixed, 0.0)
+
+
 def _doubling_ratio(
-    make_small: Callable[[], RequestSet], make_large: Callable[[], RequestSet], repeats: int
+    make_small: Callable[[], RequestSet],
+    make_large: Callable[[], RequestSet],
+    repeats: int,
+    run: Callable[[RequestSet], object] = RequestSet.prune_finished,
 ) -> float:
-    """Best prune time of the large set over the small one's.
+    """Best time of *run* (default: prune) on the large set over the small one's.
 
     The two are timed alternately, so a slow spell of the host hits both.
     """
@@ -80,7 +118,7 @@ def _doubling_ratio(
             for make in best:
                 rs = make()
                 start = time.perf_counter()
-                rs.prune_finished()
+                run(rs)
                 best[make] = min(best[make], time.perf_counter() - start)
     finally:
         gc.enable()
@@ -115,6 +153,58 @@ class TestPruneScale:
 
     def test_request_set_prune_is_linear_in_size(self):
         ratio = _doubling_ratio(lambda: wide_set(5_000), lambda: wide_set(10_000), 3)
+        assert ratio <= MAX_DOUBLING_RATIO
+
+
+class TestToViewAndFitScale:
+    def test_10k_pending_next_chain_fits_back_to_back(self):
+        chain = pending_chain(10_000)
+        rs = RequestSet(RequestType.NON_PREEMPTIBLE, chain)
+        assert to_view(rs).is_zero()
+        occupied = fit(rs, View.constant({"c": 1}), 0.0)
+        assert [r.scheduled_at for r in chain] == [10.0 * i for i in range(10_000)]
+        assert occupied["c"].times == (0.0, 100_000.0)
+
+    def test_10k_next_chain_started_at_its_head_is_fixed(self):
+        chain = pending_chain(10_000)
+        chain[0].mark_started(5.0)
+        rs = RequestSet(RequestType.NON_PREEMPTIBLE, chain)
+        occupied = to_view(rs)
+        assert all(r.fixed for r in chain)
+        assert chain[-1].scheduled_at == 5.0 + 10.0 * 9_999
+        assert occupied["c"].times == (0.0, 5.0, 100_005.0)
+        assert fit(rs, View.constant({"c": 1}) - occupied, 0.0).is_zero()
+
+    def test_next_chain_to_view_and_fit_are_linear_in_depth(self):
+        def chain_set(steps: int, started: bool) -> RequestSet:
+            chain = pending_chain(steps)
+            if started:
+                chain[0].mark_started(0.0)
+            return RequestSet(RequestType.NON_PREEMPTIBLE, chain)
+
+        available = View.constant({"c": 1})
+        for started in (False, True):
+            small, large = chain_set(10_000, started), chain_set(20_000, started)
+            ratio = _doubling_ratio(
+                lambda: small, lambda: large, 5, lambda rs: _schedule(rs, available)
+            )
+            assert ratio <= MAX_DOUBLING_RATIO, (started, ratio)
+
+    def test_100k_request_set_fixes_started_trees_and_fits_the_rest(self):
+        rs = scheduled_set(10_000)
+        assert len(rs) == 100_000
+        occupied = _schedule(rs, View.constant({"c": 64}))
+        requests = list(rs)
+        assert sum(r.fixed for r in requests) == 70_000
+        assert all(not math.isinf(r.scheduled_at) for r in requests)
+        assert occupied.integrate(0.0, math.inf) == 100_000 * 10.0
+
+    def test_to_view_and_fit_are_linear_in_set_size(self):
+        available = View.constant({"c": 64})
+        small, large = scheduled_set(2_500), scheduled_set(5_000)
+        ratio = _doubling_ratio(
+            lambda: small, lambda: large, 5, lambda rs: _schedule(rs, available)
+        )
         assert ratio <= MAX_DOUBLING_RATIO
 
 
