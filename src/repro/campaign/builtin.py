@@ -36,7 +36,6 @@ from ..models.amr_evolution import AmrEvolutionParameters, normalized_profile
 from ..sim.randomness import derive_seed
 from ..traces.source import resolve_converted_jobs
 from ..workloads.generator import WorkloadParameters, generate_rigid_workload
-from ..workloads.trace import load_trace_cached
 from .registry import record_provenance, register_runner, register_scenario
 from .spec import PlatformSpec, RmsSpec, ScenarioSpec, WorkloadSpec, resolve_scale
 
@@ -111,9 +110,8 @@ def _background_workload(spec: ScenarioSpec, seed: int):
     """The background job streams of a scenario: ``(rigid, adaptive)``.
 
     A declarative trace source produces converted (possibly adaptive) jobs;
-    a bare ``trace_path`` replays the file as plain rigid jobs; otherwise
-    the synthetic rigid generator runs.  Whichever branch fires records its
-    workload provenance for the campaign runner to persist.
+    otherwise the synthetic rigid generator runs.  Whichever branch fires
+    records its workload provenance for the campaign runner to persist.
     """
     workload = spec.workload
     if workload.trace is not None:
@@ -123,14 +121,6 @@ def _background_workload(spec: ScenarioSpec, seed: int):
         )
         record_provenance(provenance)
         return None, jobs
-    if workload.trace_path:
-        jobs, fingerprint = load_trace_cached(workload.trace_path)
-        # Fingerprint the content, not just the name: a renamed or
-        # silently-edited replay file stays distinguishable in the store.
-        record_provenance(
-            {"source": {"path": workload.trace_path, "sha256_16": fingerprint}}
-        )
-        return jobs, None
     if workload.rigid_job_count <= 0:
         return None, None
     median = workload.rigid_runtime_median

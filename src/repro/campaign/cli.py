@@ -109,9 +109,9 @@ def add_campaign_commands(commands: argparse._SubParsersAction) -> None:
         "coordinator/worker service (identical store rows either way)",
     )
     run.add_argument(
-        "--transport", choices=("thread", "ipc", "tcp"), default="thread",
-        help="dist backend transport: in-thread loopback, subprocess pipes "
-        "or TCP sockets (default thread)",
+        "--transport", choices=("thread", "tcp"), default="thread",
+        help="dist backend transport: in-thread loopback, or TCP sockets to "
+        "launched worker subprocesses (default thread)",
     )
     run.add_argument(
         "--dist-workers", type=int, default=None, metavar="N",

@@ -114,11 +114,9 @@ class WorkloadSpec:
     rigid_mean_interarrival: float = 400.0
     #: Median runtime of rigid jobs, seconds (their tail is capped at 10x).
     rigid_runtime_median: float = 1800.0
-    #: Optional SWF-like trace file to replay instead of generated rigid jobs.
-    trace_path: Optional[str] = None
-    #: Full declarative trace source (SWF path or statistical model, plus a
-    #: transformation chain and an adaptive-kind mix); supersedes the plain
-    #: ``trace_path`` replay.  Dictionaries are promoted to
+    #: Declarative trace source replayed instead of generated rigid jobs
+    #: (SWF path or statistical model, plus a transformation chain and an
+    #: adaptive-kind mix).  Dictionaries are promoted to
     #: :class:`~repro.traces.source.TraceSource` on construction.
     trace: Optional[TraceSource] = None
 
@@ -128,8 +126,6 @@ class WorkloadSpec:
         )
         if self.trace is not None and not isinstance(self.trace, TraceSource):
             object.__setattr__(self, "trace", TraceSource.from_dict(self.trace))
-        if self.trace is not None and self.trace_path is not None:
-            raise ValueError("give either trace or trace_path, not both")
         if any(d <= 0 for d in self.psa_task_durations):
             raise ValueError("psa_task_durations must be positive")
         if self.overcommit <= 0:

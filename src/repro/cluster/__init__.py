@@ -2,14 +2,10 @@
 from .node import Node, NodeState
 from .cluster import Cluster
 from .platform import Platform
-from .energy import EnergyModel, EnergyReport, energy_report
 
 __all__ = [
     "Node",
     "NodeState",
     "Cluster",
     "Platform",
-    "EnergyModel",
-    "EnergyReport",
-    "energy_report",
 ]

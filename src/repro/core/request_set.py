@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
-from .errors import ConstraintError, RequestError
+from .errors import RequestError
 from .request import Request
 from .types import RelatedHow, RequestType
 
@@ -94,19 +94,6 @@ class RequestSet:
             elif r.related_to.request_id not in self._by_id:
                 out.append(r)
         return out
-
-    def validate_constraints(self) -> None:
-        """Raise :class:`ConstraintError` if the constraint graph has a cycle."""
-        for start in self._requests:
-            seen = set()
-            r: Optional[Request] = start
-            while r is not None and r.related_how is not RelatedHow.FREE:
-                if r.request_id in seen:
-                    raise ConstraintError(
-                        f"constraint cycle detected involving request #{start.request_id}"
-                    )
-                seen.add(r.request_id)
-                r = r.related_to
 
     # ------------------------------------------------------------------ #
     # Filters used by the scheduler

@@ -762,10 +762,6 @@ class CooRMv2:
     # ------------------------------------------------------------------ #
     # Introspection helpers used by experiments and tests
     # ------------------------------------------------------------------ #
-    def force_schedule(self) -> None:
-        """Run a scheduling pass immediately (tests and experiments only)."""
-        self._run_schedule()
-
     def total_nodes(self) -> int:
         return self.platform.total_nodes()
 

@@ -1,10 +1,9 @@
 """Reading and writing text files with transparent gzip support.
 
-Trace files of any format (the minimal rigid exchange format of
-:mod:`repro.workloads.trace` and the full SWF of :mod:`repro.traces.swf`)
-share these helpers, so the gzip handling -- including the fixed
-mtime/filename that keeps compressed output byte-reproducible -- lives in
-exactly one place.
+The SWF reader and writer of :mod:`repro.traces.swf` and the trace-source
+resolver of :mod:`repro.traces.source` share these helpers, so the gzip
+handling -- including the fixed mtime/filename that keeps compressed output
+byte-reproducible -- lives in exactly one place.
 """
 from __future__ import annotations
 

@@ -160,12 +160,6 @@ class View:
             caps[cid] = cap if ceiling is None else cap.clip_high(ceiling)
         return View(caps)
 
-    def add_rectangle(self, cid: ClusterId, start: Time, duration: Time, height: float) -> "View":
-        """Return this view with a rectangle added on cluster *cid*."""
-        caps = dict(self._caps)
-        caps[cid] = self[cid].add_rectangle(start, duration, height)
-        return View(caps)
-
     def is_non_negative(self) -> bool:
         """True if no cluster profile ever goes below zero."""
         return all(cap.is_non_negative() for cap in self._caps.values())
@@ -228,9 +222,9 @@ class View:
 class ViewBuilder:
     """Accumulate per-cluster rectangles and build the occupation view once.
 
-    The scheduling primitives (``fit``, ``toView``) used to grow their result
-    views one ``add_rectangle`` at a time -- a full profile merge and two
-    allocations per request.  The builder defers to one
+    The scheduling primitives (``fit``, ``toView``) and EASY's removal chain
+    add one rectangle per request.  Instead of a full profile merge per
+    rectangle, the builder defers to one
     :class:`~repro.core.profile.StepBuilder` sweep per cluster, which is
     result-identical for the integer node counts the scheduler places (see
     the exactness note in :mod:`repro.core.profile`).

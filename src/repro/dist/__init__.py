@@ -3,11 +3,11 @@
 The execution tier that scales campaigns past one multiprocessing pool:
 a :class:`~repro.dist.coordinator.Coordinator` owns a durable
 :class:`~repro.dist.workqueue.WorkQueue` of run units and serves pull-based
-workers over one of three interchangeable transports (in-thread loopback,
-subprocess pipes, TCP with length-prefixed JSON frames).  Determinism is
-preserved end to end: leases interleave freely, but results are keyed by
-idempotency key and reassembled in canonical order, so store rows are
-byte-identical to a serial run at any worker count.
+workers over one of two interchangeable transports (in-thread loopback, or
+TCP with length-prefixed JSON frames).  Determinism is preserved end to
+end: leases interleave freely, but results are keyed by idempotency key and
+reassembled in canonical order, so store rows are byte-identical to a
+serial run at any worker count.
 
 Entry points: ``campaign run --backend dist`` (embedded coordinator +
 launched workers) and the ``python -m repro dist`` command group

@@ -11,8 +11,8 @@ Determinism contract: the coordinator collects result records keyed by
 their canonical unit *index*, so however leases interleave across workers,
 :meth:`Coordinator.run` returns records in exactly the order the serial
 runner would produce them.  The store-row bytes are therefore identical to
-a pool run by construction; the integration suite checks this across all
-three transports at one and four workers.
+a pool run by construction; the integration suite checks this across both
+transports at one and four workers.
 
 Queue, dispatch and ack events are traced on an :class:`EventTracer`
 (timestamped with a logical event counter -- the coordinator has no
@@ -29,7 +29,7 @@ from ..campaign.units import task_to_dict, unit_key
 from ..obs.logsetup import get_logger
 from ..obs.metrics import MetricsRegistry
 from ..obs.tracer import EventTracer
-from .transport import ChannelClosed, WorkerHandle, make_transport, reply_on
+from .transport import ChannelClosed, WorkerHandle, make_transport
 from .workqueue import WorkQueue
 
 __all__ = ["DistConfig", "DistOutcome", "Coordinator"]
@@ -41,7 +41,8 @@ _LOG = get_logger("dist")
 class DistConfig:
     """Tuning knobs of one distributed campaign execution."""
 
-    #: Transport backend: ``thread`` | ``ipc`` | ``tcp``.
+    #: Transport backend: ``thread`` (in-process) | ``tcp`` (subprocesses
+    #: or external workers).
     transport: str = "thread"
     #: TCP bind endpoint (``host:port``; port 0 picks a free port).
     bind: str = "127.0.0.1:0"
@@ -203,7 +204,7 @@ class Coordinator:
 
     def _safe_reply(self, end, message: Dict) -> None:
         try:
-            reply_on(end, message)
+            end.send(message)
         except ChannelClosed:
             pass  # the poll loop will surface the EOF and release leases
 

@@ -1,7 +1,7 @@
 """Transport-agnostic RPC layer of the distributed execution tier.
 
 Every message between a campaign coordinator and its workers is one flat,
-JSON-serialisable dictionary.  Three interchangeable backends carry those
+JSON-serialisable dictionary.  Two interchangeable backends carry those
 messages (the C-Two Component/CRM split: the coordinator owns the stateful
 resource -- the work queue -- and workers talk to it through a protocol-
 agnostic channel):
@@ -9,13 +9,11 @@ agnostic channel):
 * **thread** -- in-process loopback over ``queue.Queue`` pairs.  The
   zero-dependency reference backend: same wire discipline (messages must be
   JSON-serialisable), no sockets, no subprocesses.
-* **ipc** -- one subprocess per worker, connected over a
-  ``multiprocessing.Pipe``.  Messages travel as encoded JSON bytes
-  (``send_bytes``), never pickles, so the wire format is identical to TCP.
 * **tcp** -- workers connect over loopback (or the network) with
   **length-prefixed JSON frames**: a 4-byte big-endian length followed by
-  the UTF-8 JSON payload.  The only backend that accepts *external*
-  workers (``python -m repro dist worker --connect host:port``).
+  the UTF-8 JSON payload.  Launched workers are local subprocesses that
+  connect back over loopback; this is also the only backend that accepts
+  *external* workers (``python -m repro dist worker --connect host:port``).
 
 The coordinator side of every backend exposes the same three operations --
 ``launch_worker`` / ``poll`` / ``close`` -- and the worker side a duplex
@@ -28,7 +26,6 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-import multiprocessing.connection
 import queue as queue_module
 import select
 import socket
@@ -42,7 +39,6 @@ __all__ = [
     "Channel",
     "WorkerHandle",
     "ThreadTransport",
-    "IpcTransport",
     "TcpTransport",
     "make_transport",
     "encode_frame",
@@ -52,8 +48,8 @@ __all__ = [
     "parse_endpoint",
 ]
 
-#: The registered transport backends, in escalation order.
-TRANSPORT_NAMES: Tuple[str, ...] = ("thread", "ipc", "tcp")
+#: The registered transport backends.
+TRANSPORT_NAMES: Tuple[str, ...] = ("thread", "tcp")
 
 #: Frame header: payload length as a 4-byte big-endian unsigned integer.
 _LENGTH = struct.Struct(">I")
@@ -167,7 +163,7 @@ class ThreadWorkerChannel(Channel):
         if self._closed:
             raise ChannelClosed("channel closed")
         # Round-trip through the encoder so the thread backend enforces the
-        # same JSON-only wire discipline as ipc/tcp.
+        # same JSON-only wire discipline as tcp.
         self._inbox.put((self._server_end, json.loads(_encode(message))))
 
     def recv(self, timeout: Optional[float]) -> Optional[Dict]:
@@ -197,33 +193,6 @@ class ThreadServerEnd:
 
     def close(self) -> None:
         self._to_worker.put(_CLOSE)
-
-
-class PipeChannel(Channel):
-    """Worker end of a ``multiprocessing.Pipe`` connection (JSON bytes)."""
-
-    def __init__(self, conn: multiprocessing.connection.Connection):
-        self._conn = conn
-
-    def send(self, message: Dict) -> None:
-        try:
-            self._conn.send_bytes(_encode(message))
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise ChannelClosed(str(exc)) from exc
-
-    def recv(self, timeout: Optional[float]) -> Optional[Dict]:
-        try:
-            if not self._conn.poll(timeout):
-                return None
-            return json.loads(self._conn.recv_bytes().decode("utf-8"))
-        except (EOFError, OSError) as exc:
-            raise ChannelClosed(str(exc)) from exc
-
-    def close(self) -> None:
-        try:
-            self._conn.close()
-        except OSError:
-            pass
 
 
 class SocketChannel(Channel):
@@ -344,67 +313,6 @@ class ThreadTransport:
         self._server_ends.clear()
 
 
-class IpcTransport:
-    """One subprocess per worker over ``multiprocessing.Pipe`` connections."""
-
-    name = "ipc"
-    in_process = False
-
-    def __init__(self) -> None:
-        self._conns: List[multiprocessing.connection.Connection] = []
-
-    def endpoint(self) -> str:
-        return ""
-
-    def launch_worker(self, worker_id: str, options: Dict) -> WorkerHandle:
-        from .worker import ipc_worker_entry
-
-        parent_conn, child_conn = multiprocessing.Pipe(duplex=True)
-        process = multiprocessing.Process(
-            target=ipc_worker_entry,
-            args=(child_conn, worker_id, dict(options)),
-            name=f"dist-{worker_id}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()  # the parent keeps only its own end
-        self._conns.append(parent_conn)
-        return WorkerHandle(worker_id, process=process)
-
-    def poll(self, timeout: float) -> List[Tuple[object, Optional[Dict]]]:
-        if not self._conns:
-            return []
-        ready = multiprocessing.connection.wait(self._conns, timeout)
-        messages: List[Tuple[object, Optional[Dict]]] = []
-        for conn in ready:
-            try:
-                payload = conn.recv_bytes()
-            except (EOFError, OSError):
-                # The worker died or closed its end: surface the EOF once
-                # and stop polling the dead connection.
-                self._conns.remove(conn)
-                conn.close()
-                messages.append((conn, None))
-                continue
-            messages.append((conn, json.loads(payload.decode("utf-8"))))
-        return messages
-
-    def close(self) -> None:
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:
-                pass
-        self._conns.clear()
-
-    @staticmethod
-    def reply(conn: multiprocessing.connection.Connection, message: Dict) -> None:
-        try:
-            conn.send_bytes(_encode(message))
-        except (OSError, ValueError, BrokenPipeError) as exc:
-            raise ChannelClosed(str(exc)) from exc
-
-
 class _TcpServerEnd:
     """Coordinator end of one accepted TCP connection, with a frame buffer."""
 
@@ -521,18 +429,9 @@ def make_transport(name: str, bind: str = "127.0.0.1:0"):
     """Build the coordinator side of a named transport backend."""
     if name == "thread":
         return ThreadTransport()
-    if name == "ipc":
-        return IpcTransport()
     if name == "tcp":
         return TcpTransport(bind=bind)
     raise KeyError(
         f"unknown transport {name!r}; known transports: {list(TRANSPORT_NAMES)}"
     )
 
-
-def reply_on(channel_end, message: Dict) -> None:
-    """Send a reply on a coordinator-side channel end, whatever its backend."""
-    if isinstance(channel_end, multiprocessing.connection.Connection):
-        IpcTransport.reply(channel_end, message)
-    else:
-        channel_end.send(message)

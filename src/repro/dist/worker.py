@@ -42,7 +42,6 @@ from .transport import Channel, ChannelClosed, connect_tcp, parse_endpoint
 
 __all__ = [
     "worker_loop",
-    "ipc_worker_entry",
     "tcp_worker_entry",
     "run_standalone_worker",
     "default_worker_id",
@@ -191,13 +190,6 @@ def _reset_signals() -> None:
     """
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
-
-
-def ipc_worker_entry(conn, worker_id: str, options: Dict) -> None:
-    from .transport import PipeChannel
-
-    _reset_signals()
-    worker_loop(PipeChannel(conn), worker_id, options)
 
 
 def tcp_worker_entry(host: str, port: int, worker_id: str, options: Dict) -> None:

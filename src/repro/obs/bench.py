@@ -13,10 +13,10 @@ Measures six things and writes them as one ``BENCH_10.json`` report:
   1M events/s floor.
 * **Engine dispatch overhead of the disabled observability layer**: the
   only cost :meth:`~repro.sim.engine.Simulator.run` pays when nothing
-  observes is one ``observation_enabled()`` check per ``run()`` call, so
-  comparing ``run()`` against a bare ``while sim.step(): pass`` loop over
-  the same event population bounds the tracing-disabled overhead.  CI
-  asserts it stays under 5%.
+  observes is one ``observation_enabled()`` check per ``run()`` call plus
+  one local flag test per event, so comparing ``run()`` against a bare
+  ``while sim.step(): pass`` loop over the same event population bounds
+  the tracing-disabled overhead.  CI asserts it stays under 5%.
 * **Distributed dispatch overhead**: run units per second pushed through
   the full coordinator/worker RPC path (in-thread transport, no-op
   simulation), so queue bookkeeping + framing + record reassembly can
@@ -166,8 +166,8 @@ def bench_engine_dispatch(
 def bench_engine_overhead(events: int = 50_000, repeats: int = 7) -> Dict[str, float]:
     """Overhead of ``Simulator.run`` over a bare step loop, in percent.
 
-    ``run()`` performs the single per-call observation check plus its loop
-    bookkeeping; the bare loop dispatches the identical event population
+    ``run()`` performs the single per-call observation check, a local flag
+    test per event and its loop bookkeeping; the bare loop dispatches the identical event population
     through ``step()`` directly.  The difference is everything a disabled
     observability layer can possibly cost.
     """

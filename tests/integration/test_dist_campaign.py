@@ -64,10 +64,7 @@ class TestByteIdentityAcrossBackends:
 
 
 class TestChaosAtTheExecutionTier:
-    @pytest.mark.parametrize("transport", ["ipc", "tcp"])
-    def test_killed_worker_reruns_units_with_identical_rows(
-        self, tmp_path, serial_rows, transport
-    ):
+    def test_killed_worker_reruns_units_with_identical_rows(self, tmp_path, serial_rows):
         """Worker 0 dies abruptly after its first lease (``os._exit``, no
         goodbye).  Lease release + retry must rerun its unit elsewhere and
         the final rows must be byte-identical to the serial run --
@@ -77,7 +74,7 @@ class TestChaosAtTheExecutionTier:
         result = CampaignRunner(spec, store=store).run(
             workers=2,
             backend="dist",
-            dist=DistConfig(transport=transport, lease_ttl=5.0,
+            dist=DistConfig(transport="tcp", lease_ttl=5.0,
                             kill_after_leases={0: 1}),
         )
         assert store.runs_path("chaos").read_bytes() == serial_rows
@@ -109,7 +106,7 @@ class TestChaosAtTheExecutionTier:
         CampaignRunner(make_spec("chaos"), store=store).run(
             workers=3,
             backend="dist",
-            dist=DistConfig(transport="ipc", lease_ttl=5.0,
+            dist=DistConfig(transport="tcp", lease_ttl=5.0,
                             kill_after_leases={0: 1, 1: 1}),
         )
         assert store.runs_path("chaos").read_bytes() == serial_rows

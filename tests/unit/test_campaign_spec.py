@@ -31,7 +31,6 @@ def full_scenario() -> ScenarioSpec:
             rigid_max_nodes=16,
             rigid_mean_interarrival=120.0,
             rigid_runtime_median=300.0,
-            trace_path=None,
         ),
         rms=RmsSpec(
             rescheduling_interval=2.0,
@@ -67,6 +66,16 @@ class TestScenarioSpecRoundTrip:
         data = ScenarioSpec(name="x").to_dict()
         data["frobnicate"] = 1
         with pytest.raises(ValueError, match="frobnicate"):
+            ScenarioSpec.from_dict(data)
+        # A stored spec naming the removed trace_path field must fail
+        # loudly, not silently run generated jobs in place of its trace.
+        workload = WorkloadSpec().to_dict()
+        workload["trace_path"] = "jobs.trace"
+        with pytest.raises(ValueError, match="trace_path"):
+            WorkloadSpec.from_dict(workload)
+        data = ScenarioSpec(name="x").to_dict()
+        data["workload"]["trace_path"] = "jobs.trace"
+        with pytest.raises(ValueError, match="trace_path"):
             ScenarioSpec.from_dict(data)
 
 

@@ -1,15 +1,13 @@
-"""Unit tests of the cluster substrate (nodes, clusters, platform, energy)."""
+"""Unit tests of the cluster substrate (nodes, clusters, platform)."""
 from __future__ import annotations
 
 import pytest
 
 from repro.cluster import (
     Cluster,
-    EnergyModel,
     Node,
     NodeState,
     Platform,
-    energy_report,
 )
 from repro.core import AllocationError
 
@@ -113,27 +111,3 @@ class TestPlatform:
         assert len(released["a"]) == 2 and len(released["b"]) == 3
         assert platform.busy_node_seconds(now=1.0) == pytest.approx(5.0)
 
-
-class TestEnergy:
-    def test_report_balances(self):
-        report = energy_report(
-            total_nodes=10,
-            horizon_seconds=100.0,
-            busy_node_seconds=600.0,
-            sleepable_node_seconds=200.0,
-            model=EnergyModel(busy_watts=200, idle_watts=100, sleep_watts=10),
-        )
-        assert report.busy_joules == pytest.approx(600 * 200)
-        assert report.idle_joules == pytest.approx(200 * 100 + 200 * 10)
-        assert report.saved_joules == pytest.approx(200 * 90)
-        assert report.total_kwh == pytest.approx(report.total_joules / 3.6e6)
-
-    def test_busy_time_clamped_to_capacity(self):
-        report = energy_report(10, 10.0, busy_node_seconds=1e9)
-        assert report.idle_joules == 0.0
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            energy_report(10, -1.0, 0.0)
-        with pytest.raises(ValueError):
-            EnergyModel(busy_watts=-5)

@@ -8,7 +8,6 @@ as :class:`ChannelClosed` from a worker-side ``recv``.
 from __future__ import annotations
 
 import json
-import multiprocessing
 import socket
 import struct
 
@@ -17,8 +16,6 @@ import pytest
 from repro.dist.transport import (
     MAX_FRAME_BYTES,
     ChannelClosed,
-    IpcTransport,
-    PipeChannel,
     TcpTransport,
     ThreadTransport,
     connect_tcp,
@@ -56,7 +53,6 @@ class TestMakeTransport:
     def test_known_names(self):
         for name, cls in (
             ("thread", ThreadTransport),
-            ("ipc", IpcTransport),
             ("tcp", TcpTransport),
         ):
             transport = make_transport(name)
@@ -67,27 +63,6 @@ class TestMakeTransport:
     def test_unknown_name_has_helpful_error(self):
         with pytest.raises(KeyError, match="known transports"):
             make_transport("carrier-pigeon")
-
-
-class TestPipeChannel:
-    def test_round_trip_is_json_bytes(self):
-        parent, child = multiprocessing.Pipe(duplex=True)
-        a, b = PipeChannel(parent), PipeChannel(child)
-        a.send({"op": "lease", "worker": "w0"})
-        assert b.recv(1.0) == {"op": "lease", "worker": "w0"}
-        # The wire carries encoded JSON, never pickles.
-        b._conn.send_bytes(b'{"op": "ack"}')
-        assert a.recv(1.0) == {"op": "ack"}
-
-    def test_recv_timeout_returns_none(self):
-        parent, _child = multiprocessing.Pipe(duplex=True)
-        assert PipeChannel(parent).recv(0.01) is None
-
-    def test_closed_peer_raises(self):
-        parent, child = multiprocessing.Pipe(duplex=True)
-        PipeChannel(child).close()
-        with pytest.raises(ChannelClosed):
-            PipeChannel(parent).recv(0.5)
 
 
 class TestTcpTransport:

@@ -5,7 +5,6 @@ import pytest
 
 from repro.core import (
     ApplicationRequests,
-    ConstraintError,
     RelatedHow,
     Request,
     RequestError,
@@ -65,18 +64,6 @@ class TestRequestSet:
         child = np_request(related_how=RelatedHow.NEXT, related_to=external)
         rs.add(child)
         assert rs.roots() == [child]
-
-    def test_cycle_detection(self):
-        rs = RequestSet(RequestType.NON_PREEMPTIBLE)
-        a = np_request()
-        b = np_request(related_how=RelatedHow.NEXT, related_to=a)
-        rs.add(a)
-        rs.add(b)
-        # Build an artificial cycle.
-        a.related_how = RelatedHow.NEXT
-        a.related_to = b
-        with pytest.raises(ConstraintError):
-            rs.validate_constraints()
 
     def test_started_and_pending_filters(self):
         rs = RequestSet()

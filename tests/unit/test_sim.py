@@ -6,9 +6,32 @@ import math
 import pytest
 
 from repro.core import SimulationError
+from repro.obs import MetricsRegistry, observe
 from repro.sim import RandomSource, Simulator, derive_seed, spawn_streams
 from repro.sim.engine import EventHandle, callback_label
 from repro.sim.randomness import MAX_DERIVED_SEED
+
+
+def run_both_ways(scenario):
+    """Drive *scenario* with no observer and under a metrics observer.
+
+    ``scenario(sim, fired)`` schedules events on a fresh simulator, runs it
+    and records what fired in *fired*.  ``run()`` picks observed dispatch
+    once per call, so both runs must agree on firing order, clock and
+    event count, and the observer must count every fired event.  Returns
+    the unobserved ``(sim, fired)`` for the caller's own assertions.
+    """
+    plain_sim, plain_fired = Simulator(), []
+    scenario(plain_sim, plain_fired)
+    observed_sim, observed_fired = Simulator(), []
+    metrics = MetricsRegistry()
+    with observe(metrics=metrics):
+        scenario(observed_sim, observed_fired)
+    assert observed_fired == plain_fired
+    assert observed_sim.now == plain_sim.now
+    assert observed_sim.processed_events == plain_sim.processed_events
+    assert metrics.counter("engine.events_dispatched") == observed_sim.processed_events
+    return plain_sim, plain_fired
 
 
 class TestScheduling:
@@ -26,11 +49,12 @@ class TestScheduling:
         assert sim.now == 20.0
 
     def test_ties_fire_in_scheduling_order(self):
-        sim = Simulator()
-        order = []
-        for label in "abc":
-            sim.schedule(5, order.append, label)
-        sim.run()
+        def scenario(sim, order):
+            for label in "abc":
+                sim.schedule(5, order.append, label)
+            sim.run()
+
+        _, order = run_both_ways(scenario)
         assert order == ["a", "b", "c"]
 
     def test_schedule_at_absolute_time(self):
@@ -62,15 +86,33 @@ class TestScheduling:
         assert not handle.pending()
 
     def test_run_until(self):
+        def scenario(sim, seen):
+            sim.schedule(5, seen.append, "early")
+            sim.schedule(50, seen.append, "late")
+            sim.run(until=10)
+            assert seen == ["early"]
+            assert sim.now == 10.0
+            sim.run()
+
+        sim, seen = run_both_ways(scenario)
+        assert seen == ["early", "late"]
+        assert sim.now == 50.0
+
+    def test_run_until_the_past_is_rejected(self):
         sim = Simulator()
         seen = []
-        sim.schedule(5, seen.append, "early")
         sim.schedule(50, seen.append, "late")
         sim.run(until=10)
-        assert seen == ["early"]
+        with pytest.raises(SimulationError, match="already at 10"):
+            sim.run(until=5)
+        # The clock never moves backwards: an event scheduled now fires at
+        # t=10, not at the rejected horizon.
         assert sim.now == 10.0
+        sim.schedule(0, lambda: seen.append(sim.now))
+        sim.run(until=10)
+        assert seen == [10.0]
         sim.run()
-        assert seen == ["early", "late"]
+        assert seen == [10.0, "late"]
 
     def test_events_can_schedule_events(self):
         sim = Simulator()
@@ -98,14 +140,18 @@ class TestScheduling:
         assert sim.empty()
 
     def test_infinite_loop_guard(self):
-        sim = Simulator()
+        def scenario(sim, fired):
+            def rescheduler():
+                fired.append(sim.now)
+                sim.schedule(0.0, rescheduler)
 
-        def rescheduler():
             sim.schedule(0.0, rescheduler)
+            with pytest.raises(SimulationError):
+                sim.run(max_events=1000)
 
-        sim.schedule(0.0, rescheduler)
-        with pytest.raises(SimulationError):
-            sim.run(max_events=1000)
+        sim, fired = run_both_ways(scenario)
+        # The guard trips on the event that exceeds the budget.
+        assert len(fired) == sim.processed_events == 1001
 
     def test_processed_events_counter(self):
         sim = Simulator()
@@ -171,51 +217,57 @@ class TestBatchedDispatch:
     """Same-timestamp batches must be indistinguishable from stepping."""
 
     def test_mid_batch_scheduling_at_same_timestamp(self):
-        sim = Simulator()
-        order = []
+        def scenario(sim, order):
+            def b():
+                order.append("b")
+                # Same timestamp as the batch being fired: must run after it,
+                # in schedule order, not be lost and not jump the queue.
+                sim.schedule(0.0, order.append, "d")
+                sim.schedule(0.0, order.append, "e")
 
-        def b():
-            order.append("b")
-            # Same timestamp as the batch being fired: must run after it,
-            # in schedule order, not be lost and not jump the queue.
-            sim.schedule(0.0, order.append, "d")
-            sim.schedule(0.0, order.append, "e")
+            sim.schedule(5, order.append, "a")
+            sim.schedule(5, b)
+            sim.schedule(5, order.append, "c")
+            sim.run()
 
-        sim.schedule(5, order.append, "a")
-        sim.schedule(5, b)
-        sim.schedule(5, order.append, "c")
-        sim.run()
+        sim, order = run_both_ways(scenario)
         assert order == ["a", "b", "c", "d", "e"]
         assert sim.now == 5.0
 
     def test_mid_batch_cancellation_is_honoured(self):
-        sim = Simulator()
-        order = []
-        victim = None
+        def scenario(sim, order):
+            victim = None
 
-        def killer():
-            order.append("killer")
-            victim.cancel()
+            def killer():
+                order.append("killer")
+                victim.cancel()
 
-        sim.schedule(5, killer)
-        victim = sim.schedule(5, order.append, "victim")
-        sim.schedule(5, order.append, "survivor")
-        sim.run()
+            sim.schedule(5, killer)
+            victim = sim.schedule(5, order.append, "victim")
+            sim.schedule(5, order.append, "survivor")
+            sim.run()
+
+        sim, order = run_both_ways(scenario)
         assert order == ["killer", "survivor"]
         assert sim.empty()
+        assert sim.processed_events == 2
 
     def test_step_and_run_agree_on_tie_order(self):
-        def drive(runner):
-            sim = Simulator()
-            order = []
+        def populate(sim, order):
             for label in "abc":
                 sim.schedule(7, order.append, label)
             sim.schedule(3, order.append, "first")
-            runner(sim)
-            return order
 
-        stepped = drive(lambda sim: [sim.step() for _ in range(4)])
-        ran = drive(lambda sim: sim.run())
+        sim, stepped = Simulator(), []
+        populate(sim, stepped)
+        while sim.step():
+            pass
+
+        def scenario(sim, order):
+            populate(sim, order)
+            sim.run()
+
+        _, ran = run_both_ways(scenario)
         assert stepped == ran == ["first", "a", "b", "c"]
 
     def test_event_handle_orders_by_time_then_seq(self):

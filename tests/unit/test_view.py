@@ -76,11 +76,6 @@ class TestAlgebra:
         assert clipped.value_at("a", 0) == 4
         assert clipped.value_at("b", 0) == 10
 
-    def test_add_rectangle(self):
-        v = View.constant({"a": 2}).add_rectangle("a", 10, 5, 3)
-        assert v.value_at("a", 12) == 5
-        assert v.value_at("a", 16) == 2
-
     def test_integrate_sums_clusters(self):
         v = View.from_duration_pairs({"a": [(10, 2)], "b": [(10, 3)]})
         assert v.integrate(0, 10) == pytest.approx(50)
